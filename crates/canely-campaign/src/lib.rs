@@ -32,6 +32,11 @@
 //!    streams of `can_bus::fault` guarantee that removing one fault
 //!    never reshuffles the rest of the run.
 //!
+//! Counterexamples, checked-in scenario files and `canelyctl run`
+//! share one language: [`Scenario::parse`] reads every `.canely`
+//! document, and [`Scenario::to_run_spec`] projects it onto the run
+//! model the oracle judges (see [`scenario`]).
+//!
 //! The deliberately broken protocol mutant
 //! (`CanelyConfig::weakened_fda`, which forgets the inaccessibility
 //! term `Tina` in surveillance margins and disables FDA eager
@@ -63,6 +68,7 @@
 pub mod oracle;
 pub mod run;
 pub mod runner;
+pub mod scenario;
 pub mod shootout;
 pub mod shrink;
 pub mod spec;
@@ -74,6 +80,7 @@ pub use runner::{
     run_campaign, run_campaign_analytics, run_campaign_with, CampaignOptions, CampaignReport,
     CampaignResult, Counterexample, ProgressOptions, ProgressSink, RunLatency,
 };
+pub use scenario::{locate, parse_duration, Scenario, Scheduled};
 pub use telemetry::{RunTelemetry, LATENCY_BUCKETS, RUN_PHASES};
 pub use shootout::{BackendQoS, ShootoutReport};
 pub use spec::{CampaignSpec, FederationSpec, RunSpec};

@@ -33,6 +33,7 @@ use canely::tags::MAX_SEGMENTS;
 use canely::{CanelyConfig, DetectorKind};
 use canely_analysis::ProtocolBounds;
 use canely_federation::{BridgeKind, FederationConfig, RelayFilter};
+use crate::scenario::{err, lines, locate, parse_duration, parse_relay, Scenario};
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng as _};
 use std::fmt::Write as _;
@@ -61,25 +62,12 @@ pub(crate) fn segment_seed(seed: u64, seg: u8) -> u64 {
     }
 }
 
-/// Parses `30ms` / `2500us` / raw bit-times (1 µs = 1 bit-time at the
-/// simulated 1 Mbps).
-fn parse_duration(word: &str) -> Option<BitTime> {
-    let (digits, scale) = if let Some(d) = word.strip_suffix("ms") {
-        (d, 1_000)
-    } else if let Some(d) = word.strip_suffix("us") {
-        (d, 1)
-    } else {
-        (word, 1)
-    };
-    digits.parse::<u64>().ok().map(|v| BitTime::new(v * scale))
-}
-
 /// When a population booted at `t = 0` with `join_wait = 2·Tm + 10 ms`
 /// is fully operational: views bootstrapped, every surveillance timer
 /// armed. Faults scheduled before this instant probe the boot sequence
 /// rather than the failure-detection protocol.
 fn operational_from(tm: BitTime) -> BitTime {
-    tm * 2 + BitTime::new(20_000)
+    BitTime::new(tm.as_u64().saturating_mul(2).saturating_add(20_000))
 }
 
 fn fmt_duration(t: BitTime) -> String {
@@ -205,33 +193,20 @@ impl Default for CampaignSpec {
     }
 }
 
-fn err<T>(line_no: usize, msg: impl std::fmt::Display) -> Result<T, String> {
-    Err(format!("line {line_no}: {msg}"))
-}
-
-/// Prefixes a parse diagnostic with the source file's name, turning
-/// `line 12: bad duration` into `smoke.campaign:12: bad duration` (the
-/// `file:line:` shape editors and CI annotate). Diagnostics without a
-/// line anchor get a plain `name: ` prefix.
-fn locate(name: &str, diagnostic: String) -> String {
-    if let Some((line, msg)) = diagnostic
-        .strip_prefix("line ")
-        .and_then(|rest| rest.split_once(": "))
-    {
-        if !line.is_empty() && line.bytes().all(|b| b.is_ascii_digit()) {
-            return format!("{name}:{line}: {msg}");
-        }
+/// The values of one matrix dimension on `.campaign` line `line`: at
+/// least one, each accepted by `parse`.
+fn values<T>(
+    line: usize,
+    rest: &[&str],
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    if rest.is_empty() {
+        return err(line, format_args!("expected at least one {what}"));
     }
-    format!("{name}: {diagnostic}")
-}
-
-fn parse_relay(rest: &[&str]) -> Option<RelayFilter> {
-    match rest {
-        ["none"] => Some(RelayFilter::none()),
-        ["all"] => Some(RelayFilter::pass_through()),
-        ["below", bound] => bound.parse().ok().map(RelayFilter::app_below),
-        _ => None,
-    }
+    rest.iter()
+        .map(|w| parse(w).ok_or_else(|| format!("line {line}: bad {what} `{w}`")))
+        .collect()
 }
 
 fn fmt_relay(filter: &RelayFilter) -> String {
@@ -265,26 +240,8 @@ impl CampaignSpec {
         // default gateway 0 always fits the ≥ 2-node populations, so
         // the check can only trip when the keyword was written).
         let mut gateway_line = 0usize;
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            let keyword = words.next().expect("non-empty line");
-            let rest: Vec<&str> = words.collect();
-            let durations = |rest: &[&str]| -> Result<Vec<BitTime>, String> {
-                if rest.is_empty() {
-                    return err(line_no, "expected at least one duration");
-                }
-                rest.iter()
-                    .map(|w| {
-                        parse_duration(w)
-                            .ok_or_else(|| format!("line {line_no}: bad duration `{w}`"))
-                    })
-                    .collect()
-            };
+        for (line_no, keyword, rest) in lines(text) {
+            let durations = |rest: &[&str]| values(line_no, rest, "duration", parse_duration);
             let duration = |rest: &[&str]| -> Result<BitTime, String> {
                 rest.first()
                     .and_then(|w| parse_duration(w))
@@ -298,18 +255,11 @@ impl CampaignSpec {
                     }
                 }
                 "nodes" => {
-                    spec.nodes = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u8>()
-                                .ok()
-                                .filter(|&n| n >= 2 && (n as usize) <= MAX_NODES)
-                                .ok_or_else(|| format!("line {line_no}: bad node count `{w}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.nodes.is_empty() {
-                        return err(line_no, "expected at least one node count");
-                    }
+                    spec.nodes = values(line_no, &rest, "node count", |w| {
+                        w.parse::<u8>()
+                            .ok()
+                            .filter(|&n| n >= 2 && usize::from(n) <= MAX_NODES)
+                    })?;
                 }
                 "tm" => spec.tm = durations(&rest)?,
                 "th" => spec.th = duration(&rest)?,
@@ -327,18 +277,9 @@ impl CampaignSpec {
                     spec.seeds = (start, end);
                 }
                 "error-rate" | "inconsistent-rate" => {
-                    let rates: Vec<f64> = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<f64>()
-                                .ok()
-                                .filter(|r| (0.0..=1.0).contains(r))
-                                .ok_or_else(|| format!("line {line_no}: bad probability `{w}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if rates.is_empty() {
-                        return err(line_no, "expected at least one probability");
-                    }
+                    let rates = values(line_no, &rest, "probability", |w| {
+                        w.parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r))
+                    })?;
                     if keyword == "error-rate" {
                         spec.consistent_rates = rates;
                     } else {
@@ -346,16 +287,8 @@ impl CampaignSpec {
                     }
                 }
                 "crash-budget" => {
-                    spec.crash_budgets = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u32>()
-                                .map_err(|_| format!("line {line_no}: bad crash budget `{w}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.crash_budgets.is_empty() {
-                        return err(line_no, "expected at least one crash budget");
-                    }
+                    spec.crash_budgets =
+                        values(line_no, &rest, "crash budget", |w| w.parse().ok())?;
                 }
                 "inaccessibility" => spec.inaccessibility_lens = durations(&rest)?,
                 "omission-degree" => {
@@ -373,7 +306,12 @@ impl CampaignSpec {
                 "traffic" => {
                     spec.traffic = match rest.first() {
                         Some(&"none") => None,
-                        _ => Some(duration(&rest)?),
+                        _ => match duration(&rest)? {
+                            t if t.is_zero() => {
+                                return err(line_no, "traffic period must be positive")
+                            }
+                            t => Some(t),
+                        },
                     };
                 }
                 "until" => spec.until = duration(&rest)?,
@@ -381,20 +319,11 @@ impl CampaignSpec {
                 "latency-slack" => spec.latency_slack = duration(&rest)?,
                 "weaken-fda" => spec.weaken_fda = true,
                 "segments" => {
-                    spec.segments = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u8>()
-                                .ok()
-                                .filter(|&k| k >= 1 && usize::from(k) <= MAX_SEGMENTS)
-                                .ok_or_else(|| {
-                                    format!("line {line_no}: bad segment count `{w}`")
-                                })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.segments.is_empty() {
-                        return err(line_no, "expected at least one segment count");
-                    }
+                    spec.segments = values(line_no, &rest, "segment count", |w| {
+                        w.parse::<u8>()
+                            .ok()
+                            .filter(|&k| k >= 1 && usize::from(k) <= MAX_SEGMENTS)
+                    })?;
                 }
                 "gateway" => {
                     spec.gateway = rest
@@ -423,17 +352,8 @@ impl CampaignSpec {
                     })?;
                 }
                 "gateway-crash" => {
-                    spec.gateway_crash_budgets = rest
-                        .iter()
-                        .map(|w| {
-                            w.parse::<u32>().map_err(|_| {
-                                format!("line {line_no}: bad gateway-crash budget `{w}`")
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if spec.gateway_crash_budgets.is_empty() {
-                        return err(line_no, "expected at least one gateway-crash budget");
-                    }
+                    spec.gateway_crash_budgets =
+                        values(line_no, &rest, "gateway-crash budget", |w| w.parse().ok())?;
                 }
                 "segment-partition" => spec.partition_lens = durations(&rest)?,
                 "asymmetric-inaccessibility" => spec.asymmetric_lens = durations(&rest)?,
@@ -490,11 +410,16 @@ impl CampaignSpec {
             }
         }
         let active = self.until.saturating_sub(self.settle);
+        // Whether `len` past bootstrap reaches the end of the active
+        // phase (saturating: periods near 2^64 bit-times must not wrap).
+        let overruns = |operational: BitTime, len: u64| {
+            operational.as_u64().saturating_add(len) >= active.as_u64()
+        };
         for &tm in &self.tm {
             // Faults are only scheduled once the population is
             // operational (views bootstrapped, surveillance armed).
             let operational = operational_from(tm);
-            if active <= operational + BitTime::new(10_000) {
+            if overruns(operational, 10_000) {
                 return Err(format!(
                     "active phase (until - settle = {active}) must extend past \
                      bootstrap ({operational} at tm={tm}) so faults land on an \
@@ -502,7 +427,7 @@ impl CampaignSpec {
                 ));
             }
             for &len in &self.inaccessibility_lens {
-                if !len.is_zero() && operational + len >= active {
+                if !len.is_zero() && overruns(operational, len.as_u64()) {
                     return Err(format!(
                         "inaccessibility window {len} does not fit the active \
                          phase after bootstrap ({operational} at tm={tm})"
@@ -515,7 +440,7 @@ impl CampaignSpec {
                 ("gateway-restart", &self.gateway_restart_delays),
             ] {
                 for &len in lens {
-                    if !len.is_zero() && operational + len >= active {
+                    if !len.is_zero() && overruns(operational, len.as_u64()) {
                         return Err(format!(
                             "{label} window {len} does not fit the active \
                              phase after bootstrap ({operational} at tm={tm})"
@@ -1205,14 +1130,19 @@ impl RunSpec {
         out
     }
 
-    /// Parses a `.canely` scenario document back into a run spec (the
-    /// inverse of [`RunSpec::to_scenario`]).
+    /// Parses a `.canely` scenario document into a run spec (the
+    /// inverse of [`RunSpec::to_scenario`]): [`Scenario::parse`]
+    /// followed by the [`Scenario::to_run_spec`] projection, which
+    /// rejects what the oracle cannot model. `expect-view` lines are
+    /// parsed but unused (the oracle computes the expectation itself).
     ///
-    /// Only the campaign subset of the scenario language is accepted:
-    /// `join`/`leave`/`restart` schedules have no oracle model and are
-    /// rejected; `expect-view` lines are ignored (the oracle computes
-    /// the expectation itself).
+    /// # Errors
     ///
+    /// Returns a diagnostic naming the offending line.
+    pub fn from_scenario(text: &str) -> Result<RunSpec, String> {
+        Scenario::parse(text)?.to_run_spec()
+    }
+
     /// Like [`RunSpec::from_scenario`], but reports errors as
     /// `name:line: message` for scenarios read from a named file.
     ///
@@ -1221,328 +1151,6 @@ impl RunSpec {
     /// Returns a diagnostic naming the file and offending line.
     pub fn from_scenario_named(name: &str, text: &str) -> Result<RunSpec, String> {
         Self::from_scenario(text).map_err(|e| locate(name, e))
-    }
-
-    /// # Errors
-    ///
-    /// Returns a diagnostic naming the offending line.
-    pub fn from_scenario(text: &str) -> Result<RunSpec, String> {
-        let mut spec = RunSpec {
-            id: 0,
-            detector: DetectorKind::Surveillance,
-            nodes: 4,
-            tm: BitTime::new(30_000),
-            th: BitTime::new(5_000),
-            until: BitTime::new(300_000),
-            settle: BitTime::new(150_000),
-            seed: 0,
-            consistent_rate: 0.0,
-            inconsistent_rate: 0.0,
-            omission_degree: 16,
-            inconsistent_degree: 2,
-            traffic: None,
-            crashes: Vec::new(),
-            inaccessibility: Vec::new(),
-            weaken_fda: false,
-            latency_slack: BitTime::new(4_000),
-            rejoin_slack: BitTime::new(30_000),
-            federation: None,
-        };
-        let mut traffic_periods: Vec<BitTime> = Vec::new();
-        let mut segments: u8 = 1;
-        let mut gateway: u8 = 0;
-        let mut topology = BridgeKind::Ring;
-        let mut relay = RelayFilter::none();
-        let mut seg_crashes: Vec<(u8, u8, BitTime)> = Vec::new();
-        let mut gateway_crashes: Vec<(u8, BitTime)> = Vec::new();
-        let mut gateway_restarts: Vec<(u8, BitTime)> = Vec::new();
-        let mut partitions: Vec<(BitTime, BitTime)> = Vec::new();
-        let mut asymmetric: Vec<(u8, u8, BitTime, BitTime)> = Vec::new();
-        let mut gateway_line = 0usize;
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut words = line.split_whitespace();
-            let keyword = words.next().expect("non-empty line");
-            let rest: Vec<&str> = words.collect();
-            let duration = |rest: &[&str]| -> Result<BitTime, String> {
-                rest.first()
-                    .and_then(|w| parse_duration(w))
-                    .ok_or_else(|| format!("line {line_no}: bad duration"))
-            };
-            let node_time = |rest: &[&str]| -> Result<(u8, BitTime), String> {
-                if rest.len() != 2 {
-                    return err(line_no, "expected `<node> <time>`");
-                }
-                let node: u8 = rest[0]
-                    .parse()
-                    .map_err(|_| format!("line {line_no}: bad node id"))?;
-                let time = parse_duration(rest[1])
-                    .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                Ok((node, time))
-            };
-            match keyword {
-                "nodes" => {
-                    spec.nodes = rest
-                        .first()
-                        .and_then(|w| w.parse::<u8>().ok())
-                        .filter(|&n| n >= 2 && (n as usize) <= MAX_NODES)
-                        .ok_or_else(|| format!("line {line_no}: bad node count"))?;
-                }
-                "tm" => spec.tm = duration(&rest)?,
-                "th" => spec.th = duration(&rest)?,
-                "until" => spec.until = duration(&rest)?,
-                "settle" => spec.settle = duration(&rest)?,
-                "latency-slack" => spec.latency_slack = duration(&rest)?,
-                "rejoin-slack" => spec.rejoin_slack = duration(&rest)?,
-                "seed" => {
-                    spec.seed = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad seed"))?;
-                }
-                "error-rate" => {
-                    spec.consistent_rate = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| format!("line {line_no}: bad probability"))?;
-                }
-                "inconsistent-rate" => {
-                    spec.inconsistent_rate = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| format!("line {line_no}: bad probability"))?;
-                }
-                "omission-degree" => {
-                    spec.omission_degree = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad degree"))?;
-                }
-                "inconsistent-degree" => {
-                    spec.inconsistent_degree = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad degree"))?;
-                }
-                "traffic" => {
-                    let (_, period) = node_time(&rest)?;
-                    traffic_periods.push(period);
-                }
-                "crash" => spec.crashes.push(node_time(&rest)?),
-                "inaccessible" => {
-                    if rest.len() != 2 {
-                        return err(line_no, "expected `<from> <until>`");
-                    }
-                    let from = parse_duration(rest[0])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    let until = parse_duration(rest[1])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    if until <= from {
-                        return err(line_no, "empty inaccessibility window");
-                    }
-                    spec.inaccessibility.push((from, until));
-                }
-                "weaken-fda" => spec.weaken_fda = true,
-                "detector" => {
-                    spec.detector = rest
-                        .first()
-                        .and_then(|w| DetectorKind::from_key(w))
-                        .ok_or_else(|| format!("line {line_no}: unknown detector backend"))?;
-                }
-                "segments" => {
-                    segments = rest
-                        .first()
-                        .and_then(|w| w.parse::<u8>().ok())
-                        .filter(|&k| k >= 1 && usize::from(k) <= MAX_SEGMENTS)
-                        .ok_or_else(|| format!("line {line_no}: bad segment count"))?;
-                }
-                "gateway" => {
-                    gateway = rest
-                        .first()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| format!("line {line_no}: bad gateway node id"))?;
-                    gateway_line = line_no;
-                }
-                "bridge" => {
-                    topology = rest
-                        .first()
-                        .and_then(|w| BridgeKind::from_key(w))
-                        .ok_or_else(|| {
-                            format!(
-                                "line {line_no}: unknown bridge topology \
-                                 (expected line/ring/star/full)"
-                            )
-                        })?;
-                }
-                "relay" => {
-                    relay = parse_relay(&rest).ok_or_else(|| {
-                        format!(
-                            "line {line_no}: bad relay filter \
-                             (expected `none`, `all` or `below <ref>`)"
-                        )
-                    })?;
-                }
-                "seg-crash" => {
-                    if rest.len() != 3 {
-                        return err(line_no, "expected `<segment> <node> <time>`");
-                    }
-                    let seg: u8 = rest[0]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad segment index"))?;
-                    let node: u8 = rest[1]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad node id"))?;
-                    let at = parse_duration(rest[2])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    seg_crashes.push((seg, node, at));
-                }
-                "gateway-crash" => {
-                    let (seg, at) = node_time(&rest)?;
-                    gateway_crashes.push((seg, at));
-                }
-                "gateway-restart" => {
-                    let (seg, at) = node_time(&rest)?;
-                    gateway_restarts.push((seg, at));
-                }
-                "segment-partition" => {
-                    if rest.len() != 2 {
-                        return err(line_no, "expected `<from> <until>`");
-                    }
-                    let from = parse_duration(rest[0])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    let until = parse_duration(rest[1])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    if until <= from {
-                        return err(line_no, "empty partition window");
-                    }
-                    partitions.push((from, until));
-                }
-                "asymmetric" => {
-                    if rest.len() != 4 {
-                        return err(line_no, "expected `<from_seg> <to_seg> <from> <until>`");
-                    }
-                    let from_seg: u8 = rest[0]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad segment index"))?;
-                    let to_seg: u8 = rest[1]
-                        .parse()
-                        .map_err(|_| format!("line {line_no}: bad segment index"))?;
-                    let from = parse_duration(rest[2])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    let until = parse_duration(rest[3])
-                        .ok_or_else(|| format!("line {line_no}: bad duration"))?;
-                    if until <= from {
-                        return err(line_no, "empty asymmetric window");
-                    }
-                    asymmetric.push((from_seg, to_seg, from, until));
-                }
-                "expect-view" => {} // oracle computes the expectation
-                "join" | "leave" | "restart" => {
-                    return err(
-                        line_no,
-                        format_args!("`{keyword}` schedules have no campaign-oracle model"),
-                    );
-                }
-                other => return err(line_no, format_args!("unknown keyword `{other}`")),
-            }
-        }
-        // The campaign model drives every node with the same period.
-        if let Some(&period) = traffic_periods.first() {
-            spec.traffic = Some(period);
-        }
-        for &(node, _) in &spec.crashes {
-            if node >= spec.nodes {
-                return Err(format!("crash victim {node} outside population"));
-            }
-        }
-        if segments > 1 {
-            if spec.nodes > 32 {
-                return Err(format!(
-                    "federated segment populations cap at 32 nodes, got {}",
-                    spec.nodes
-                ));
-            }
-            if gateway >= spec.nodes {
-                return err(
-                    gateway_line,
-                    format_args!(
-                        "gateway node {gateway} outside a {}-node segment",
-                        spec.nodes
-                    ),
-                );
-            }
-            for &(seg, node, _) in &seg_crashes {
-                if seg == 0 || seg >= segments {
-                    return Err(format!(
-                        "seg-crash segment {seg} outside 1..{segments} \
-                         (segment-0 crashes use plain `crash` lines)"
-                    ));
-                }
-                if node >= spec.nodes || node == gateway {
-                    return Err(format!("seg-crash victim {node} invalid"));
-                }
-            }
-            for &(seg, _) in &gateway_crashes {
-                if seg >= segments {
-                    return Err(format!("gateway-crash segment {seg} outside population"));
-                }
-            }
-            for &(seg, at) in &gateway_restarts {
-                if seg >= segments {
-                    return Err(format!("gateway-restart segment {seg} outside population"));
-                }
-                if !gateway_crashes.iter().any(|&(s, tc)| s == seg && tc < at) {
-                    return Err(format!(
-                        "gateway-restart of segment {seg} has no earlier \
-                         gateway-crash to restart from"
-                    ));
-                }
-            }
-            let bridged = topology.bridges(segments);
-            for &(from_seg, to_seg, ..) in &asymmetric {
-                let key = (from_seg.min(to_seg), from_seg.max(to_seg));
-                if from_seg == to_seg || !bridged.contains(&key) {
-                    return Err(format!(
-                        "asymmetric window names unbridged segments {from_seg} {to_seg}"
-                    ));
-                }
-            }
-            for &(node, _) in &spec.crashes {
-                if node == gateway {
-                    return Err(format!(
-                        "crash victim {node} is the gateway \
-                         (use `gateway-crash 0 <time>` instead)"
-                    ));
-                }
-            }
-            spec.federation = Some(FederationSpec {
-                segments,
-                gateway,
-                topology,
-                relay,
-                seg_crashes,
-                gateway_crashes,
-                gateway_restarts,
-                partitions,
-                asymmetric,
-            });
-        } else if !seg_crashes.is_empty()
-            || !gateway_crashes.is_empty()
-            || !gateway_restarts.is_empty()
-            || !partitions.is_empty()
-            || !asymmetric.is_empty()
-        {
-            return Err(
-                "federation fault lines need a `segments` line with a value > 1".into(),
-            );
-        }
-        Ok(spec)
     }
 }
 
@@ -1613,6 +1221,18 @@ settle 150ms
     fn rejects_unmodelled_schedules() {
         assert!(RunSpec::from_scenario("join 9 10ms").unwrap_err().contains("join"));
         assert!(RunSpec::from_scenario("frobnicate").unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn overflowing_durations_are_diagnosed() {
+        let e = CampaignSpec::parse("nodes 4\nuntil 99999999999999999ms\n").unwrap_err();
+        assert_eq!(e, "line 2: bad duration");
+        let e = CampaignSpec::parse("tm 18446744073709551615\n").unwrap_err();
+        assert!(e.starts_with("invalid campaign: active phase"), "{e}");
+        let e = RunSpec::from_scenario("until 99999999999999999ms").unwrap_err();
+        assert_eq!(e, "line 1: bad duration");
+        let e = CampaignSpec::parse("traffic 0ms").unwrap_err();
+        assert_eq!(e, "line 1: traffic period must be positive");
     }
 
     #[test]

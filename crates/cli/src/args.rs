@@ -1,7 +1,10 @@
 //! Hand-rolled argument parsing: `--name value` options, flags, and
 //! `node@time` event specifications.
 
-use can_types::{BitRate, BitTime, NodeId};
+use can_types::{BitTime, NodeId};
+/// The duration grammar the flags share with `.canely` and `.campaign`
+/// files (`30ms`, `2500us`, raw bit-times; overflow is rejected).
+pub use canely_campaign::parse_duration;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -208,18 +211,6 @@ impl Args {
         }
         Ok(())
     }
-}
-
-/// Parses `30ms`, `2500us` or raw bit-times at 1 Mbps.
-pub fn parse_duration(text: &str) -> Option<BitTime> {
-    let rate = BitRate::MBPS_1;
-    if let Some(ms) = text.strip_suffix("ms") {
-        return ms.parse::<u64>().ok().map(|v| BitTime::from_ms(v, rate));
-    }
-    if let Some(us) = text.strip_suffix("us") {
-        return us.parse::<u64>().ok().map(|v| BitTime::from_us(v, rate));
-    }
-    text.parse::<u64>().ok().map(BitTime::new)
 }
 
 /// Parses `node@time`, e.g. `3@250ms`.

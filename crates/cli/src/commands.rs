@@ -1,13 +1,14 @@
 //! The CLI commands: scenario construction and execution.
 
-use crate::args::{ArgError, Args, Event};
+use crate::args::{ArgError, Args};
 use crate::render;
 use can_bus::{BusConfig, FaultPlan};
-use can_controller::Simulator;
+use can_controller::{Application, Simulator};
 use can_types::{BitTime, NodeId, NodeSet};
 use canely::obs::{ObsLog, SnapshotFold};
 use canely::{CanelyConfig, CanelyStack, DetectorMetrics, ProtocolEvent, TrafficConfig};
 use canely_analysis::{BandwidthModel, InaccessibilityModel, ProtocolBounds, ReliabilityModel};
+use canely_campaign::{Scenario, Scheduled};
 use canely_metrics::{Registry, Stability};
 use canely_baselines::{CanopenMaster, CanopenSlave, HeartbeatNode, OsekNode, TtpNode};
 use canely_groups::{GroupId, GroupStack};
@@ -19,76 +20,79 @@ fn fail(e: ArgError) -> String {
     e.to_string()
 }
 
-/// Common membership scenario options.
-struct MembershipScenario {
-    nodes: usize,
-    config: CanelyConfig,
-    until: BitTime,
-    crashes: Vec<Event>,
-    joins: Vec<Event>,
-    leaves: Vec<Event>,
-    restarts: Vec<Event>,
-    traffic: Option<BitTime>,
-    error_rate: f64,
-    seed: u64,
-    journal: bool,
+/// The horizon of a CLI run whose scenario sets no `until`.
+const DEFAULT_UNTIL: BitTime = BitTime::new(600_000);
+
+/// Fills a scenario document from the membership options shared by
+/// `membership`, `groups`, `trace` and `metrics` — the same document a
+/// `.canely` file parses into — plus the `--journal` flag.
+fn scenario_from_args(args: &mut Args) -> Result<(Scenario, bool), ArgError> {
+    let nodes = args.usize_opt("nodes", 4)?;
+    if nodes == 0 || nodes > can_types::MAX_NODES {
+        return Err(ArgError(format!(
+            "--nodes must be in 1..={}",
+            can_types::MAX_NODES
+        )));
+    }
+    let mut doc = Scenario::default();
+    doc.nodes = nodes as u8;
+    doc.tm = args.duration_opt("tm", doc.tm)?;
+    doc.th = args.duration_opt("th", doc.th)?;
+    doc.until = Some(args.duration_opt("until", DEFAULT_UNTIL)?);
+    let mut events = |name: &str| -> Result<Vec<Scheduled>, ArgError> {
+        Ok(args
+            .events(name)?
+            .iter()
+            .map(|e| Scheduled {
+                node: e.node.as_u8(),
+                at: e.at,
+                line: 0,
+            })
+            .collect())
+    };
+    doc.crashes = events("crash")?;
+    doc.joins = events("join")?;
+    doc.leaves = events("leave")?;
+    doc.restarts = events("restart")?;
+    let traffic = args.duration_opt("traffic", BitTime::ZERO)?;
+    if !traffic.is_zero() {
+        // `--traffic` drives every node, late joiners included.
+        let ids = (0..doc.nodes).chain(doc.joins.iter().map(|j| j.node));
+        doc.traffic = ids
+            .map(|node| Scheduled {
+                node,
+                at: traffic,
+                line: 0,
+            })
+            .collect();
+    }
+    doc.error_rate = args.f64_opt("error-rate", 0.0)?;
+    if !(0.0..=1.0).contains(&doc.error_rate) {
+        return Err(ArgError("--error-rate must be a probability".into()));
+    }
+    doc.seed = args.u64_opt("seed", 0)?;
+    doc.validate().map_err(|(_, e)| ArgError(e))?;
+    Ok((doc, args.flag("journal")))
 }
 
-impl MembershipScenario {
-    fn from_args(args: &mut Args) -> Result<Self, ArgError> {
-        let nodes = args.usize_opt("nodes", 4)?;
-        if nodes == 0 || nodes > can_types::MAX_NODES {
-            return Err(ArgError(format!(
-                "--nodes must be in 1..={}",
-                can_types::MAX_NODES
-            )));
-        }
-        let mut config = CanelyConfig::default()
-            .with_membership_cycle(args.duration_opt("tm", BitTime::new(30_000))?)
-            .with_heartbeat_period(args.duration_opt("th", BitTime::new(5_000))?);
-        config.join_wait = config.membership_cycle * 2 + BitTime::new(10_000);
-        config
-            .validate()
-            .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
-        Ok(MembershipScenario {
-            nodes,
-            config,
-            until: args.duration_opt("until", BitTime::new(600_000))?,
-            crashes: args.events("crash")?,
-            joins: args.events("join")?,
-            leaves: args.events("leave")?,
-            restarts: args.events("restart")?,
-            traffic: match args.duration_opt("traffic", BitTime::ZERO)? {
-                t if t.is_zero() => None,
-                t => Some(t),
-            },
-            error_rate: args.f64_opt("error-rate", 0.0)?,
-            seed: args.u64_opt("seed", 0)?,
-            journal: args.flag("journal"),
-        })
-    }
-
-    fn faults(&self) -> Result<FaultPlan, ArgError> {
-        if !(0.0..=1.0).contains(&self.error_rate) {
-            return Err(ArgError("--error-rate must be a probability".into()));
-        }
-        Ok(FaultPlan::seeded(self.seed).with_consistent_rate(self.error_rate))
-    }
-
-    fn stack(
-        &self,
-        id: u8,
-        obs: Option<&ObsLog>,
-        detector: Option<&DetectorMetrics>,
-    ) -> CanelyStack {
-        let mut stack = CanelyStack::new(self.config.clone());
-        if let Some(period) = self.traffic {
+/// A factory for the CANELy stack of node `id` in `doc`'s world:
+/// its traffic and leave schedule, plus the optional shared event log
+/// and live detector counters.
+fn canely_stack<'a>(
+    doc: &'a Scenario,
+    config: &'a CanelyConfig,
+    obs: Option<&'a ObsLog>,
+    detector: Option<&'a DetectorMetrics>,
+) -> impl Fn(u8) -> CanelyStack + 'a {
+    move |id| {
+        let mut stack = CanelyStack::new(config.clone());
+        if let Some(t) = doc.traffic.iter().find(|t| t.node == id) {
             stack = stack.with_traffic(
-                TrafficConfig::periodic(period, 8)
+                TrafficConfig::periodic(t.at, 8)
                     .with_offset(BitTime::new(u64::from(id) * 131 + 17)),
             );
         }
-        if let Some(leave) = self.leaves.iter().find(|e| e.node.as_u8() == id) {
+        if let Some(leave) = doc.leaves.iter().find(|l| l.node == id) {
             stack = stack.with_leave_at(leave.at);
         }
         if let Some(log) = obs {
@@ -99,77 +103,89 @@ impl MembershipScenario {
         }
         stack
     }
+}
 
-    /// Builds the simulator. With an [`ObsLog`], every stack shares
-    /// its sink and the scripted crash/restart markers are pre-seeded
-    /// into the log (anchoring the latency metrics).
-    fn build(&self, obs: Option<&ObsLog>) -> Result<Simulator, ArgError> {
-        self.build_with(obs, None)
+/// Builds the single-bus world `doc` describes, with `stack(id)`
+/// supplying each node's application (at boot, at its join time and
+/// at every power-cycle). With an [`ObsLog`], the scripted
+/// crash/restart markers are pre-seeded into the log, anchoring the
+/// latency metrics.
+fn world<A: Application + 'static>(
+    doc: &Scenario,
+    obs: Option<&ObsLog>,
+    journal: bool,
+    stack: impl Fn(u8) -> A,
+) -> Simulator {
+    let mut faults = FaultPlan::seeded(doc.seed)
+        .with_consistent_rate(doc.error_rate)
+        .with_inconsistent_rate(doc.inconsistent_rate)
+        .with_omission_bound(doc.omission_degree, BitTime::new(100_000))
+        .with_inconsistent_bound(doc.inconsistent_degree);
+    for &(from, until) in &doc.inaccessibility {
+        faults.push_inaccessibility(from, until);
     }
+    let mut sim = Simulator::new(BusConfig::default(), faults);
+    sim.set_journal(journal);
+    for id in 0..doc.nodes {
+        if doc.joins.iter().all(|j| j.node != id) {
+            sim.add_node(NodeId::new(id), stack(id));
+        }
+    }
+    for join in &doc.joins {
+        sim.add_node_at(NodeId::new(join.node), stack(join.node), join.at);
+    }
+    for crash in &doc.crashes {
+        sim.schedule_crash(NodeId::new(crash.node), crash.at);
+        if let Some(log) = obs {
+            log.record(crash.at, NodeId::new(crash.node), ProtocolEvent::NodeCrashed);
+        }
+    }
+    for restart in &doc.restarts {
+        let node = NodeId::new(restart.node);
+        sim.schedule_restart(node, restart.at, stack(restart.node));
+        if let Some(log) = obs {
+            log.record(restart.at, node, ProtocolEvent::NodeRestarted);
+        }
+    }
+    sim
+}
 
-    /// [`MembershipScenario::build`] with live detector counters
-    /// installed into every stack (including late joiners and
-    /// restarted nodes).
-    fn build_with(
-        &self,
-        obs: Option<&ObsLog>,
-        detector: Option<&DetectorMetrics>,
-    ) -> Result<Simulator, ArgError> {
-        let mut sim = Simulator::new(BusConfig::default(), self.faults()?);
-        sim.set_journal(self.journal);
-        let joiner_ids: Vec<u8> = self.joins.iter().map(|e| e.node.as_u8()).collect();
-        for id in 0..self.nodes as u8 {
-            if joiner_ids.contains(&id) {
-                continue; // added later at its join time
-            }
-            sim.add_node(NodeId::new(id), self.stack(id, obs, detector));
-        }
-        for event in &self.joins {
-            sim.add_node_at(
-                event.node,
-                self.stack(event.node.as_u8(), obs, detector),
-                event.at,
-            );
-        }
-        for event in &self.crashes {
-            sim.schedule_crash(event.node, event.at);
-            if let Some(log) = obs {
-                log.record(event.at, event.node, ProtocolEvent::NodeCrashed);
-            }
-        }
-        for event in &self.restarts {
-            sim.schedule_restart(
-                event.node,
-                event.at,
-                self.stack(event.node.as_u8(), obs, detector),
-            );
-            if let Some(log) = obs {
-                log.record(event.at, event.node, ProtocolEvent::NodeRestarted);
-            }
-        }
-        Ok(sim)
-    }
+/// Builds and runs `doc`'s CANELy world to its horizon, returning the
+/// simulator and the horizon used. With an [`ObsLog`], every node's
+/// protocol events land in it.
+///
+/// # Errors
+///
+/// Returns a diagnostic when the document's periods are inconsistent.
+pub fn run_world(
+    doc: &Scenario,
+    obs: Option<&ObsLog>,
+    journal: bool,
+) -> Result<(Simulator, BitTime), String> {
+    let config = doc.config().map_err(|e| format!("error: {e}"))?;
+    let mut sim = world(doc, obs, journal, canely_stack(doc, &config, obs, None));
+    let until = doc.until.unwrap_or(DEFAULT_UNTIL);
+    sim.run_until(until);
+    Ok((sim, until))
 }
 
 /// `canely membership …`
 pub fn membership(args: &mut Args) -> CmdResult {
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
-    let mut sim = scenario.build(None).map_err(fail)?;
-    sim.run_until(scenario.until);
+    let (doc, journal) = scenario_from_args(args).map_err(fail)?;
+    let (sim, until) = run_world(&doc, None, journal)?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "CANELy membership: {} nodes, Tm {}, Th {}, horizon {}",
-        scenario.nodes,
-        render::ms(scenario.config.membership_cycle),
-        render::ms(scenario.config.heartbeat_period),
-        render::ms(scenario.until),
+        doc.nodes,
+        render::ms(doc.tm),
+        render::ms(doc.th),
+        render::ms(until),
     );
-    let restarted: Vec<u8> = scenario.restarts.iter().map(|e| e.node.as_u8()).collect();
-    for id in 0..scenario.nodes as u8 {
+    for id in 0..doc.nodes {
         if sim.alive().contains(NodeId::new(id)) {
-            if restarted.contains(&id) {
+            if doc.restarts.iter().any(|r| r.node == id) {
                 let _ = writeln!(out, "node n{id}: (power-cycled)");
             }
             render::stack_history(&mut out, &sim, NodeId::new(id));
@@ -177,8 +193,8 @@ pub fn membership(args: &mut Args) -> CmdResult {
             let _ = writeln!(out, "node n{id}: crashed");
         }
     }
-    render::bus_summary(&mut out, &sim, BitTime::ZERO, scenario.until);
-    if scenario.journal {
+    render::bus_summary(&mut out, &sim, BitTime::ZERO, until);
+    if journal {
         render::journal(&mut out, &sim);
     }
     Ok(out)
@@ -187,23 +203,25 @@ pub fn membership(args: &mut Args) -> CmdResult {
 /// `canely groups …`
 pub fn groups(args: &mut Args) -> CmdResult {
     let group_joins = args.events("group-join").map_err(fail)?;
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
-    let mut sim = Simulator::new(BusConfig::default(), scenario.faults().map_err(fail)?);
-    for id in 0..scenario.nodes as u8 {
-        let mut stack = GroupStack::new(scenario.config.clone());
+    let (mut doc, _) = scenario_from_args(args).map_err(fail)?;
+    let config = doc.config().map_err(|e| format!("error: {e}"))?;
+    // The group layer runs over a static population: join, leave,
+    // restart and traffic options are accepted but not scripted.
+    doc.joins.clear();
+    doc.restarts.clear();
+    let mut sim = world(&doc, None, false, |id| {
+        let mut stack = GroupStack::new(config.clone());
         for event in group_joins.iter().filter(|e| e.node.as_u8() == id) {
             stack = stack.with_group_join_at(GroupId::new(1), event.at);
         }
-        sim.add_node(NodeId::new(id), stack);
-    }
-    for event in &scenario.crashes {
-        sim.schedule_crash(event.node, event.at);
-    }
-    sim.run_until(scenario.until);
+        stack
+    });
+    let until = doc.until.unwrap_or(DEFAULT_UNTIL);
+    sim.run_until(until);
 
     let mut out = String::new();
-    let _ = writeln!(out, "CANELy process groups: {} nodes", scenario.nodes);
-    for id in 0..scenario.nodes as u8 {
+    let _ = writeln!(out, "CANELy process groups: {} nodes", doc.nodes);
+    for id in 0..doc.nodes {
         let node = NodeId::new(id);
         if !sim.alive().contains(node) {
             let _ = writeln!(out, "node {node}: crashed");
@@ -426,13 +444,12 @@ pub fn trace(args: &mut Args) -> CmdResult {
     if usize::from(csv) + usize::from(jsonl) + usize::from(chrome) > 1 {
         return Err("error: --csv, --jsonl and --chrome are mutually exclusive".into());
     }
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
+    let (doc, journal) = scenario_from_args(args).map_err(fail)?;
     if jsonl || chrome {
         // Merged protocol + bus trace, one JSON object per line (see
         // docs/TRACE_SCHEMA.md).
         let log = ObsLog::new();
-        let mut sim = scenario.build(Some(&log)).map_err(fail)?;
-        sim.run_until(scenario.until);
+        let (sim, _) = run_world(&doc, Some(&log), journal)?;
         let doc = log.export_jsonl(Some(sim.trace()));
         if chrome {
             // Chrome/Perfetto trace-event JSON: per-node instant
@@ -442,8 +459,7 @@ pub fn trace(args: &mut Args) -> CmdResult {
         }
         return Ok(doc);
     }
-    let mut sim = scenario.build(None).map_err(fail)?;
-    sim.run_until(scenario.until);
+    let (sim, until) = run_world(&doc, None, journal)?;
     if csv {
         return Ok(render::trace_csv(&sim));
     }
@@ -461,7 +477,7 @@ pub fn trace(args: &mut Args) -> CmdResult {
             if rec.errored { "ERROR" } else { "ok" },
         );
     }
-    render::bus_summary(&mut out, &sim, BitTime::ZERO, scenario.until);
+    render::bus_summary(&mut out, &sim, BitTime::ZERO, until);
     Ok(out)
 }
 
@@ -483,7 +499,9 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let live = args.flag("live");
     let json = args.flag("json");
     let profile = args.flag("profile");
-    let scenario = MembershipScenario::from_args(args).map_err(fail)?;
+    let (doc, journal) = scenario_from_args(args).map_err(fail)?;
+    let config = doc.config().map_err(|e| format!("error: {e}"))?;
+    let until = doc.until.unwrap_or(DEFAULT_UNTIL);
     let log = ObsLog::new();
 
     let registry = if live {
@@ -508,23 +526,22 @@ pub fn metrics(args: &mut Args) -> CmdResult {
             Stability::Stable,
         ),
     };
-    let mut sim = scenario
-        .build_with(Some(&log), live.then_some(&detector))
-        .map_err(fail)?;
+    let stack = canely_stack(&doc, &config, Some(&log), live.then_some(&detector));
+    let mut sim = world(&doc, Some(&log), journal, stack);
     sim.set_profiling(live || profile);
 
     // Advance in chunks, folding only the events each chunk appended:
-    // the scripted markers pre-seeded by `build` sit at the front of
+    // the scripted markers pre-seeded by `world` sit at the front of
     // the log, so in-order folding meets `SnapshotFold`'s contract.
     let mut fold = SnapshotFold::new();
     let mut cursor = 0;
     const CHUNKS: u64 = 8;
     for k in 1..=CHUNKS {
-        sim.run_until(BitTime::new(scenario.until.as_u64() * k / CHUNKS));
+        sim.run_until(BitTime::new(until.as_u64() * k / CHUNKS));
         cursor = log.fold_new(&mut fold, cursor);
     }
     debug_assert_eq!(cursor, log.len());
-    let snapshot = fold.finish(Some((sim.trace(), scenario.until)));
+    let snapshot = fold.finish(Some((sim.trace(), until)));
 
     if live {
         let stats = sim.take_step_stats();
@@ -596,10 +613,10 @@ pub fn metrics(args: &mut Args) -> CmdResult {
     let _ = writeln!(
         out,
         "CANELy metrics: {} nodes, Tm {}, Th {}, horizon {} ({} protocol events)",
-        scenario.nodes,
-        render::ms(scenario.config.membership_cycle),
-        render::ms(scenario.config.heartbeat_period),
-        render::ms(scenario.until),
+        doc.nodes,
+        render::ms(doc.tm),
+        render::ms(doc.th),
+        render::ms(until),
         log.len(),
     );
     render::metrics_report(&mut out, &snapshot);
@@ -621,8 +638,15 @@ fn tq_source(args: &mut Args) -> Result<String, String> {
     } else if let Some(path) = args.str_opt("scenario") {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
-        let scenario = crate::scenario::Scenario::parse(&text).map_err(|e| e.to_string())?;
-        let (sim, _until, log) = scenario.run_with_obs().map_err(fail)?;
+        let doc = parse_scenario(&path, &text)?;
+        if doc.federation.is_some() {
+            return Err(format!(
+                "error: {path}: tq --scenario runs single-bus scenarios only \
+                 (query a recorded federated trace with --trace)"
+            ));
+        }
+        let log = ObsLog::new();
+        let (sim, _) = run_world(&doc, Some(&log), false)?;
         Ok(log.export_jsonl(Some(sim.trace())))
     } else {
         Err("error: tq requires --scenario <file.canely> or --trace <file.jsonl>".into())
@@ -885,32 +909,77 @@ fn campaign_report(args: &mut Args) -> CmdResult {
     Ok(out)
 }
 
-/// Executes a federated (multi-segment) scenario file for `canelyctl
-/// run`. The single-bus [`crate::scenario::Scenario`] engine cannot
-/// host bridged segments, so these delegate to the campaign replay
-/// engine and are judged by the invariant oracle — including
-/// global-view agreement across the gateways.
-pub fn run_federated_scenario(path: &str, text: &str) -> CmdResult {
-    let run = canely_campaign::RunSpec::from_scenario_named(path, text)
-        .map_err(|e| format!("error: {e}"))?;
-    let fed = run.federation.clone().expect("caller gated on is_federated");
-    let outcome = canely_campaign::execute(&run, false);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "federated scenario: {} segments × {} nodes, bridge {}, gateway n{}, tm {}, seed {}",
-        fed.segments,
-        run.nodes,
-        fed.topology,
-        fed.gateway,
-        render::ms(run.tm),
-        run.seed,
-    );
-    if outcome.violations.is_empty() {
+/// Parses a `.canely` file, reporting errors as `error: FILE:LINE: …`.
+fn parse_scenario(path: &str, text: &str) -> Result<Scenario, String> {
+    Scenario::parse(text).map_err(|e| format!("error: {}", canely_campaign::locate(path, e)))
+}
+
+/// `canelyctl run FILE` — executes the scenario `text` read from
+/// `path`. Single-bus
+/// documents run on one simulated bus and are held to their
+/// `expect-view` assertion; federated ones (`segments` > 1) need K
+/// bridged buses, so they run on the campaign engine and are judged by
+/// the invariant oracle, including global-view agreement.
+pub fn run_scenario(path: &str, text: &str) -> CmdResult {
+    let doc = parse_scenario(path, text)?;
+    if let Some(fed) = &doc.federation {
+        let run = doc
+            .to_run_spec()
+            .map_err(|e| format!("error: {}", canely_campaign::locate(path, e)))?;
+        let mut out = String::new();
         let _ = writeln!(
             out,
-            "verdict: clean — every invariant held (including global-view agreement)"
+            "federated scenario: {} segments × {} nodes, bridge {}, gateway n{}, tm {}, seed {}",
+            fed.segments,
+            run.nodes,
+            fed.topology,
+            fed.gateway,
+            render::ms(run.tm),
+            run.seed,
         );
+        return verdict(out, &run, " (including global-view agreement)");
+    }
+    let (sim, until) = run_world(&doc, None, false)?;
+    let mut out = String::new();
+    let _ = writeln!(out, "scenario: {} nodes, horizon {}", doc.nodes, render::ms(until));
+    let mut participants: Vec<u8> = (0..doc.nodes).chain(doc.joins.iter().map(|j| j.node)).collect();
+    participants.sort_unstable();
+    participants.dedup();
+    for id in participants {
+        let node = NodeId::new(id);
+        if !sim.alive().contains(node) {
+            let _ = writeln!(out, "node {node}: crashed");
+            continue;
+        }
+        let stack = sim.app::<CanelyStack>(node);
+        if stack.is_out_of_service() {
+            // A node that left holds its last view; it is not part
+            // of the expectation.
+            let _ = writeln!(out, "node {node}: left the service");
+            continue;
+        }
+        let _ = writeln!(out, "node {node}: view {}", stack.view());
+        if let Some(expected) = doc.expect_view {
+            if stack.view() != expected {
+                return Err(format!(
+                    "error: expectation failed at {node}: view {} != expected {expected}",
+                    stack.view()
+                ));
+            }
+        }
+    }
+    if doc.expect_view.is_some() {
+        let _ = writeln!(out, "expect-view: ok");
+    }
+    Ok(out)
+}
+
+/// Executes `run` under the invariant oracle and appends the verdict
+/// to `out`; a violating run becomes an error.
+fn verdict(mut out: String, run: &canely_campaign::RunSpec, clean_note: &str) -> CmdResult {
+    let outcome = canely_campaign::execute(run, false);
+    if outcome.violations.is_empty() {
+        let _ = writeln!(out, "verdict: clean — every invariant held{clean_note}");
         Ok(out)
     } else {
         let _ = writeln!(out, "verdict: {} violation(s)", outcome.violations.len());
@@ -929,7 +998,6 @@ fn campaign_replay(args: &mut Args) -> CmdResult {
         .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
     let run = canely_campaign::RunSpec::from_scenario_named(&path, &text)
         .map_err(|e| format!("error: {e}"))?;
-    let outcome = canely_campaign::execute(&run, false);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -945,16 +1013,7 @@ fn campaign_replay(args: &mut Args) -> CmdResult {
             ""
         },
     );
-    if outcome.violations.is_empty() {
-        let _ = writeln!(out, "verdict: clean — every invariant held");
-        Ok(out)
-    } else {
-        let _ = writeln!(out, "verdict: {} violation(s)", outcome.violations.len());
-        for v in &outcome.violations {
-            let _ = writeln!(out, "  {v}");
-        }
-        Err(out.trim_end().to_string())
-    }
+    verdict(out, &run, "")
 }
 
 #[cfg(test)]
@@ -1215,6 +1274,111 @@ mod tests {
         assert!(verdict.contains("violation(s)"), "{verdict}");
     }
 
+    use super::run_scenario;
+
+    const FULL: &str = "\
+# lifecycle scenario
+nodes 5
+tm 30ms
+th 5ms
+traffic 0 2ms
+crash 2 300ms
+join 9 500ms
+leave 4 700ms
+restart 2 800ms
+until 1200ms
+expect-view {0,1,2,3,9}
+";
+
+    #[test]
+    fn full_scenario_parses_runs_and_matches_expectation() {
+        let out = run_scenario("full.canely", FULL).unwrap();
+        assert!(out.contains("expect-view: ok"), "{out}");
+        assert!(out.contains("node n9: view {0,1,2,3,9}"), "{out}");
+    }
+
+    #[test]
+    fn failed_expectation_reports() {
+        let text = FULL.replace("{0,1,2,3,9}", "{0,1}");
+        let err = run_scenario("full.canely", &text).unwrap_err();
+        assert!(err.contains("expectation failed"), "{err}");
+    }
+
+    #[test]
+    fn detector_keyword_selects_the_backend() {
+        // A crash detected by each alternative backend: the scenario
+        // language drives the same pluggable seam as the campaigns.
+        for backend in ["surveillance", "swim", "add-phi"] {
+            let text = format!(
+                "nodes 4\ntraffic 0 2ms\ntraffic 1 2ms\ntraffic 2 2ms\ntraffic 3 2ms\n\
+                 detector {backend}\ncrash 2 150ms\nuntil 400ms\nexpect-view {{0,1,3}}\n"
+            );
+            let out = run_scenario("detector.canely", &text).unwrap();
+            assert!(out.contains("expect-view: ok"), "{backend}: {out}");
+        }
+    }
+
+    #[test]
+    fn campaign_vocabulary_parses_and_runs() {
+        // The full counterexample vocabulary must replay under plain
+        // `run` without modification.
+        let text = "\
+nodes 4
+tm 30ms
+traffic 0 2ms
+traffic 1 2ms
+inconsistent-rate 0.01
+omission-degree 16
+inconsistent-degree 2
+inaccessible 90ms 92ms
+settle 150ms
+latency-slack 4ms
+until 300ms
+expect-view {0,1,2,3}
+";
+        let out = run_scenario("cx.canely", text).unwrap();
+        assert!(out.contains("expect-view: ok"), "{out}");
+    }
+
+    #[test]
+    fn defaults_are_sane() {
+        let out = run_scenario("empty.canely", "").unwrap();
+        assert_eq!(out.matches(": view {0,1,2,3}").count(), 4, "{out}");
+    }
+
+    #[test]
+    fn single_segment_federation_keywords_run_on_one_bus() {
+        for text in ["nodes 4\nsegments 1\nuntil 300ms\n", "bridge ring\n"] {
+            let out = run_scenario("one.canely", text).unwrap();
+            assert!(out.starts_with("scenario: 4 nodes"), "{text}: {out}");
+        }
+        let err = run_scenario("one.canely", "segments 1\nseg-crash 1 2 100ms\n").unwrap_err();
+        assert_eq!(
+            err,
+            "error: one.canely:2: federation fault lines need a `segments` line with a value > 1"
+        );
+    }
+
+    #[test]
+    fn overflowing_durations_are_rejected_by_every_front_end() {
+        let err = run_scenario("big.canely", "until 99999999999999999ms\n").unwrap_err();
+        assert_eq!(err, "error: big.canely:1: bad duration");
+        let err = run(&argv(&["membership", "--until", "99999999999999999ms"])).unwrap_err();
+        assert!(err.starts_with("error: --until expects a duration"), "{err}");
+        let err = run(&argv(&["membership", "--crash", "1@99999999999999999ms"])).unwrap_err();
+        assert!(err.starts_with("error: --crash expects NODE@TIME"), "{err}");
+    }
+
+    #[test]
+    fn unbuildable_worlds_are_diagnosed_not_panicked() {
+        let err = run(&argv(&["membership", "--restart", "9@100ms"])).unwrap_err();
+        assert_eq!(err, "error: restart of node 9, which never boots or joins");
+        let err = run(&argv(&["trace", "--join", "5@10ms", "--join", "5@20ms"])).unwrap_err();
+        assert_eq!(err, "error: node 5 joins twice");
+        let err = run_scenario("x.canely", "nodes 4\nrestart 10 100ms\n").unwrap_err();
+        assert_eq!(err, "error: x.canely:2: restart of node 10, which never boots or joins");
+    }
+
     /// The federated scenario shared by the multi-segment CLI tests:
     /// two bridged 3-node segments, a non-gateway crash on segment 1.
     const FED_SCENARIO: &str = "\
@@ -1231,6 +1395,9 @@ seg-crash 1 2 100ms\nuntil 500ms\nsettle 200ms\n";
         assert!(out.contains("federated scenario: 2 segments × 3 nodes"), "{out}");
         assert!(out.contains("bridge line"), "{out}");
         assert!(out.contains("verdict: clean"), "{out}");
+        let err = run(&argv(&["tq", "summary", "--scenario", &file.to_string_lossy()]))
+            .unwrap_err();
+        assert!(err.contains("single-bus scenarios only"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,6 @@
 pub mod args;
 pub mod commands;
 pub mod render;
-pub mod scenario;
 
 pub use args::{ArgError, Args, Event};
 
@@ -51,15 +50,7 @@ pub fn run(argv: &[String]) -> Result<String, String> {
                 .ok_or("error: run requires a scenario file path")?;
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("error: cannot read `{path}`: {e}"))?;
-            if scenario::is_federated(&text) {
-                // Multi-segment scenarios need K bridged buses; the
-                // campaign replay engine owns that topology and the
-                // global-view oracle.
-                commands::run_federated_scenario(path, &text)
-            } else {
-                let parsed = scenario::Scenario::parse(&text).map_err(|e| e.to_string())?;
-                parsed.execute().map_err(|e| e.to_string())
-            }
+            commands::run_scenario(path, &text)
         }
         "help" | "--help" | "-h" => return Ok(usage()),
         other => return Err(format!("unknown command `{other}`\n\n{}", usage())),
@@ -154,15 +145,16 @@ COMMANDS:
                           phases (appends a phase table; with --live,
                           adds the volatile phase-nanos series)
 
-  run FILE       execute a scenario file (line-based DSL: nodes, tm,
-                 th, traffic, crash, join, leave, restart, until,
-                 seed, error-rate, inconsistent-rate, omission-degree,
+  run FILE       execute a .canely scenario file (nodes, tm, th,
+                 traffic, crash, join, leave, restart, until, seed,
+                 error-rate, inconsistent-rate, omission-degree,
                  inconsistent-degree, inaccessible, weaken-fda,
-                 expect-view — see the `scenario` module docs);
-                 `expect-view` turns the file into an executable
-                 regression test; federated scenarios (segments,
-                 bridge, gateway-crash, segment-partition, …) run on
-                 K bridged buses via the campaign replay engine
+                 detector, expect-view and the federation lines — the
+                 full grammar is in docs/CAMPAIGN_SPEC.md); horizon
+                 600ms unless `until` is given; `expect-view` turns the
+                 file into an executable regression test; files with
+                 `segments` above 1 run on K bridged buses via the
+                 campaign replay engine
 
   campaign <run|report|replay>   deterministic parallel fault-injection
                  campaigns with an invariant oracle (canely-campaign)
@@ -186,7 +178,9 @@ COMMANDS:
                           --json for the deterministic JSON form)
     campaign replay --scenario FILE  re-execute a (counterexample)
                           scenario under the invariant oracle and
-                          report the verdict
+                          report the verdict (horizon 300ms unless
+                          `until` is given; join/leave/restart and
+                          partial traffic are rejected)
     (run and replay exit nonzero when any invariant is violated)
 
   help           this text

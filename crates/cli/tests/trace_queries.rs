@@ -8,8 +8,10 @@
 //!   checked-in golden on a fixed configuration;
 //! * `tq` renders are byte-deterministic across invocations.
 
+use canely::obs::ObsLog;
+use canely_campaign::Scenario;
+use canely_cli::commands::run_world;
 use canely_cli::run;
-use canely_cli::scenario::Scenario;
 use canely_trace::{CauseRef, TraceModel};
 use proptest::prelude::*;
 
@@ -25,7 +27,8 @@ fn scenario_path(name: &str) -> String {
 fn scenario_trace(name: &str) -> String {
     let text = std::fs::read_to_string(scenario_path(name)).unwrap();
     let scenario = Scenario::parse(&text).unwrap();
-    let (sim, _until, log) = scenario.run_with_obs().unwrap();
+    let log = ObsLog::new();
+    let (sim, _) = run_world(&scenario, Some(&log), false).unwrap();
     log.export_jsonl(Some(sim.trace()))
 }
 

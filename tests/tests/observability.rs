@@ -13,7 +13,9 @@
 
 use can_types::BitTime;
 use canely::ProtocolEvent;
-use canely_cli::scenario::Scenario;
+use can_controller::Simulator;
+use canely::obs::ObsLog;
+use canely_campaign::Scenario;
 use integration::n;
 
 fn lifecycle() -> Scenario {
@@ -22,11 +24,18 @@ fn lifecycle() -> Scenario {
     Scenario::parse(&text).expect("scenario parses")
 }
 
+/// Runs `scenario` with the stack-wide observability layer on.
+fn run_with_obs(scenario: &Scenario) -> Result<(Simulator, BitTime, ObsLog), String> {
+    let log = ObsLog::new();
+    let (sim, until) = canely_cli::commands::run_world(scenario, Some(&log), false)?;
+    Ok((sim, until, log))
+}
+
 /// The exact chain of events around the scripted crash of node 2 at
 /// 300 ms, as seen by observer node 0 (plus the global crash marker).
 #[test]
 fn golden_trace_crash_to_view_change() {
-    let (_sim, _until, log) = lifecycle().run_with_obs().expect("scenario runs");
+    let (_sim, _until, log) = run_with_obs(&lifecycle()).expect("scenario runs");
 
     let watched = [
         "node.crashed",
@@ -81,7 +90,7 @@ fn golden_trace_crash_to_view_change() {
 /// is a property of the export, not of `events()`.)
 #[test]
 fn trace_is_time_ordered_with_markers() {
-    let (sim, until, log) = lifecycle().run_with_obs().expect("scenario runs");
+    let (sim, until, log) = run_with_obs(&lifecycle()).expect("scenario runs");
     let events = log.events();
     assert!(!events.is_empty());
     let times: Vec<u64> = log
@@ -111,8 +120,8 @@ fn trace_is_time_ordered_with_markers() {
 #[test]
 fn identical_runs_export_identical_jsonl() {
     let scenario = lifecycle();
-    let (sim_a, _, log_a) = scenario.run_with_obs().expect("first run");
-    let (sim_b, _, log_b) = scenario.run_with_obs().expect("second run");
+    let (sim_a, _, log_a) = run_with_obs(&scenario).expect("first run");
+    let (sim_b, _, log_b) = run_with_obs(&scenario).expect("second run");
     let a = log_a.export_jsonl(Some(sim_a.trace()));
     let b = log_b.export_jsonl(Some(sim_b.trace()));
     assert!(!a.is_empty());

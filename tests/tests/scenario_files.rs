@@ -7,7 +7,7 @@
 //! node 3 detected within the analytical bounds.
 
 use canely_campaign::RunSpec;
-use canely_cli::scenario::Scenario;
+use canely_cli::commands::run_scenario;
 
 fn scenario_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../scenarios")
@@ -28,10 +28,7 @@ fn every_checked_in_scenario_passes_its_expectation() {
         }
         seen += 1;
         let text = std::fs::read_to_string(&path).expect("scenario file");
-        let scenario =
-            Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let out = scenario
-            .execute()
+        let out = run_scenario(&path.to_string_lossy(), &text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(
             out.contains("expect-view: ok"),
